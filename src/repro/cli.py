@@ -99,6 +99,23 @@ def _cache_dir_from_args(args) -> Optional[str]:
     ) or None
 
 
+def _options_from_args(args):
+    """The :class:`~repro.pipeline.AnalysisOptions` the flags ask for:
+    every options field the subcommand has a flag for, the defaults
+    for the rest."""
+    from dataclasses import fields
+
+    from .pipeline import AnalysisOptions
+
+    return AnalysisOptions(
+        **{
+            f.name: getattr(args, f.name)
+            for f in fields(AnalysisOptions)
+            if hasattr(args, f.name)
+        }
+    )
+
+
 def _print_incremental(result) -> None:
     """One-line incremental summary on **stderr** -- stdout must stay
     byte-identical to a cold run of the same program."""
@@ -160,8 +177,7 @@ def cmd_report(args) -> int:
             "REPRO_CACHE_DIR)"
         )
     result = analyze(
-        spec, engine=args.engine, crosscheck=args.crosscheck,
-        store=store, fold_jobs=args.fold_jobs, baseline=baseline,
+        spec, _options_from_args(args), store=store, baseline=baseline
     )
     _print_incremental(result)
     bad = result.crosscheck is not None and result.crosscheck.violations
@@ -193,8 +209,7 @@ def cmd_metrics(args) -> int:
             "REPRO_CACHE_DIR)"
         )
     result = analyze(
-        spec, engine=args.engine, crosscheck=args.crosscheck,
-        store=store, fold_jobs=args.fold_jobs, baseline=baseline,
+        spec, _options_from_args(args), store=store, baseline=baseline
     )
     _print_incremental(result)
     if args.format == "json":
@@ -223,7 +238,7 @@ def cmd_flamegraph(args) -> int:
 
     spec = _get_spec(args.workload)
     result = analyze(
-        spec, engine=args.engine, store=_store_from_args(args)
+        spec, _options_from_args(args), store=_store_from_args(args)
     )
     svg = render_flamegraph_svg(
         result.schedule_tree,
@@ -267,12 +282,11 @@ def cmd_trace(args) -> int:
     try:
         result = analyze(
             spec,
-            engine=args.engine,
+            _options_from_args(args),
             store=store,
+            baseline=baseline,
             tracer=tracer,
             extra_observers=[observer],
-            fold_jobs=args.fold_jobs,
-            baseline=baseline,
         )
         _print_incremental(result)
         if args.format == "json":
@@ -336,8 +350,7 @@ def cmd_regions(args) -> int:
             "REPRO_CACHE_DIR)"
         )
     result = analyze(
-        spec, engine=args.engine, crosscheck=args.crosscheck,
-        store=store, fold_jobs=args.fold_jobs, baseline=baseline,
+        spec, _options_from_args(args), store=store, baseline=baseline
     )
     _print_incremental(result)
     total = result.folded.dyn_ops() or 1
@@ -364,8 +377,7 @@ def cmd_verify(args) -> int:
             "REPRO_CACHE_DIR)"
         )
     result = analyze(
-        spec, engine=args.engine, crosscheck=args.crosscheck,
-        store=store, fold_jobs=args.fold_jobs, baseline=baseline,
+        spec, _options_from_args(args), store=store, baseline=baseline
     )
     _print_incremental(result)
     bad = 0
@@ -537,14 +549,11 @@ def cmd_suite(args) -> int:
     max_mb = getattr(args, "cache_max_mb", None)
     results = run_suite(
         names,
+        _options_from_args(args),
         jobs=args.jobs,
         timeout=args.timeout,
-        engine=args.engine,
-        clamp=args.clamp,
-        crosscheck=args.crosscheck,
         cache_dir=_cache_dir_from_args(args),
         cache_max_bytes=None if max_mb is None else max_mb * 1024 * 1024,
-        fold_jobs=args.fold_jobs,
     )
     print(render_suite_table(results))
     if not all(r.ok for r in results):
@@ -579,10 +588,7 @@ def cmd_sweep(args) -> int:
             result = run_sweep(
                 args.workload,
                 points,
-                engine=args.engine,
-                clamp=args.clamp,
-                crosscheck=args.crosscheck,
-                fold_jobs=args.fold_jobs,
+                _options_from_args(args),
                 jobs=args.jobs,
                 timeout=args.timeout,
                 cache_dir=_cache_dir_from_args(args),

@@ -15,11 +15,13 @@ via the returned function set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-from ..pipeline import AnalysisResult
 from ..schedule.deps import loop_path
 from .metrics import region_closure
+
+if TYPE_CHECKING:  # repro.pipeline imports repro.feedback
+    from ..pipeline import AnalysisResult
 
 
 @dataclass

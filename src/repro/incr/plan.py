@@ -93,15 +93,13 @@ def plan_incremental(
     baseline: str,
     store,
     tracer,
-    *,
-    engine: str,
-    fuel: int,
-    max_pieces: int,
-    clamp: Optional[int],
-    track_anti_output: bool,
-    build_schedule_tree: bool,
+    options,
 ) -> IncrementalPlan:
-    """Static planning pass: manifest, diff, slice, region loads."""
+    """Static planning pass: manifest, diff, slice, region loads.
+
+    ``options`` (the call's :class:`~repro.pipeline.AnalysisOptions`)
+    derive the baseline's keys, so its regions are only reused under
+    the same dynamic conditions."""
     from ..store import manifest_key
 
     program = spec.program
@@ -116,16 +114,7 @@ def plan_incremental(
     if base_manifest["digest"] != baseline:
         return _cold(baseline, "baseline-manifest-corrupt", new_manifest)
 
-    base_keys = derive_keys(
-        baseline,
-        keys.state_digest,
-        engine=engine,
-        fuel=fuel,
-        max_pieces=max_pieces,
-        clamp=clamp,
-        track_anti_output=track_anti_output,
-        build_schedule_tree=build_schedule_tree,
-    )
+    base_keys = derive_keys(baseline, keys.state_digest, options)
 
     with tracer.span("incr.diff", cat="incr") as sp:
         diff = diff_manifests(base_manifest, new_manifest)

@@ -27,6 +27,7 @@ from typing import Callable, List, Optional
 from ..ddg.graph import DepKey, StmtKey
 from ..folding.folder import FoldedDDG
 from ..obs import Span
+from ..pipeline import AnalysisOptions
 from .shard import DEFAULT_FLUSH_POINTS, ShardRouter, apply_chunk, merge_shards
 
 #: hard sanity cap on worker processes per analysis
@@ -37,13 +38,9 @@ class ParallelFoldError(RuntimeError):
     """A fold worker died or reported an exception."""
 
 
-def _shard_worker(conn, shard_id: int, engine: str, max_pieces: int,
-                  clamp: Optional[int]) -> None:
+def _shard_worker(conn, shard_id: int, options: AnalysisOptions) -> None:
     """Process body: fold one shard's event stream to a FoldedDDG."""
-    from ..folding import FastFoldingSink, FoldingSink
-
-    sink_cls = FastFoldingSink if engine == "fast" else FoldingSink
-    sink = sink_cls(max_pieces=max_pieces, clamp=clamp)
+    sink = options.fold_sink()
     t0 = time.perf_counter()
     busy = 0.0
     chunks = 0
@@ -94,7 +91,7 @@ class ParallelFoldManager:
     Usage (what ``pipeline.analyze`` does on a stage-2 cache miss with
     ``fold_jobs > 1``)::
 
-        manager = ParallelFoldManager(jobs, engine=engine, ...)
+        manager = ParallelFoldManager(jobs, options)
         try:
             profile_ddg(spec, control, sink=manager.router, ...)
             folded = manager.finalize()
@@ -110,17 +107,16 @@ class ParallelFoldManager:
     def __init__(
         self,
         jobs: int,
-        engine: str = "fast",
-        max_pieces: int = 6,
-        clamp: Optional[int] = None,
+        options: Optional[AnalysisOptions] = None,
         flush_points: int = DEFAULT_FLUSH_POINTS,
         stmt_route: Optional[Callable[[StmtKey, int], int]] = None,
         dep_route: Optional[Callable[[DepKey, int], int]] = None,
         mp_context=None,
     ) -> None:
         jobs = max(1, min(int(jobs), MAX_FOLD_JOBS))
+        options = options or AnalysisOptions()
         self.jobs = jobs
-        self.engine = engine
+        self.engine = options.engine
         ctx = mp_context if mp_context is not None else multiprocessing.get_context()
         self._conns = []
         self._procs = []
@@ -132,7 +128,7 @@ class ParallelFoldManager:
                 parent, child = ctx.Pipe(duplex=True)
                 proc = ctx.Process(
                     target=_shard_worker,
-                    args=(child, shard, engine, max_pieces, clamp),
+                    args=(child, shard, options),
                     name=f"repro-fold-{shard}",
                     daemon=True,
                 )

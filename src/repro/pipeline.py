@@ -21,9 +21,16 @@ returns a *fresh* (args, memory) pair per run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+# stage entry points are called as module attributes
+# (``schedule.build_nest_forest``, ``artifact_store.keys_for_spec``,
+# ``incr.plan_incremental``, ...): looked up per call, so a wrapper set
+# on the module (a layer tracer, a test's monkeypatch) sees every call
+from . import incr, schedule
+from . import store as artifact_store
 from .cfg import (
     ControlStructureBuilder,
     DynCallGraph,
@@ -33,9 +40,12 @@ from .cfg import (
     build_loop_forest,
     build_recursive_component_set,
 )
-from .ddg import DDGBuilder, DDGSink, RecordingSink
+from .ddg import DDGBuilder, DDGSink, FrontierViolation, RecordingSink
+from .feedback.stride import stride_scores
+from .folding import FastFoldingSink, FoldingSink
 from .isa import Memory, Program, RunStats, run_program
 from .obs import Span, Tracer
+from .obs.context import new_trace_context
 
 
 @dataclass
@@ -64,6 +74,58 @@ class ProgramSpec:
     scheduler_stmt_budget: Optional[int] = None
 
 
+#: field metadata of an :class:`AnalysisOptions` field that changes how
+#: a result is computed, never what it is -- kept out of every key
+EXECUTION_ONLY = {"execution_only": True}
+
+
+@dataclass(frozen=True)
+class AnalysisOptions:
+    """The options of one :func:`analyze` call.  This class is the one
+    place the pipeline's options and their defaults are declared; every
+    layer that forwards them (store keys, incremental planning, the
+    suite runner, sweeps, the service, the CLI) passes the object.
+
+    **Key-bearing** fields change the analysis artifacts, so each is
+    part of the stage keys (:mod:`repro.store.keys`) and of every key
+    built on them (service dedup, sweep models):
+
+    * ``engine`` -- ``"fast"`` (block compilation, batched
+      instrumentation, fast folding backend) or ``"reference"`` (the
+      per-instruction interpreter and folder).  Both produce identical
+      results; the cross-checker recounts on the opposite one.
+    * ``fuel`` -- dynamic-instruction budget of each execution.
+    * ``max_pieces`` -- pieces per folded piecewise relation.
+    * ``clamp`` -- points folded per stream (Fig. 1's relevance
+      scalability clamping); clamped streams degrade to conservative
+      over-approximations.
+    * ``track_anti_output`` -- also record anti and output dependences.
+
+    **Execution-only** fields (metadata :data:`EXECUTION_ONLY`) change
+    how a result is computed, never its artifacts:
+
+    * ``fold_jobs`` -- fold the stage-2 streams in that many worker
+      processes (:mod:`repro.parallel`), merged bit-identically to the
+      serial fold; 1 folds serially in-process.
+    * ``crosscheck`` -- run the dynamic-vs-static soundness sanitizers
+      (:mod:`repro.dataflow.crosscheck`) over the finished result and
+      attach their report.
+    """
+
+    engine: str = "fast"
+    fuel: int = 50_000_000
+    max_pieces: int = 6
+    clamp: Optional[int] = None
+    track_anti_output: bool = True
+    fold_jobs: int = field(default=1, metadata=EXECUTION_ONLY)
+    crosscheck: bool = field(default=False, metadata=EXECUTION_ONLY)
+
+    def fold_sink(self):
+        """A fresh in-process folding sink for these options."""
+        cls = FastFoldingSink if self.engine == "fast" else FoldingSink
+        return cls(max_pieces=self.max_pieces, clamp=self.clamp)
+
+
 @dataclass
 class ControlProfile:
     """Result of Instrumentation I."""
@@ -88,8 +150,8 @@ class DDGProfile:
 
 def profile_control(
     spec: ProgramSpec,
-    fuel: int = 50_000_000,
-    engine: str = "fast",
+    fuel: int = AnalysisOptions.fuel,
+    engine: str = AnalysisOptions.engine,
     extra_observers: Sequence = (),
     tracer: Optional[Tracer] = None,
 ) -> ControlProfile:
@@ -136,10 +198,10 @@ def profile_ddg(
     spec: ProgramSpec,
     control: ControlProfile,
     sink: Optional[DDGSink] = None,
-    track_anti_output: bool = True,
+    track_anti_output: bool = AnalysisOptions.track_anti_output,
     build_schedule_tree: bool = True,
-    fuel: int = 50_000_000,
-    engine: str = "fast",
+    fuel: int = AnalysisOptions.fuel,
+    engine: str = AnalysisOptions.engine,
     extra_observers: Sequence = (),
     tracer: Optional[Tracer] = None,
     emit_funcs: Optional[set] = None,
@@ -281,361 +343,361 @@ class AnalysisResult:
     #: *not* part of any report/metrics document -- incremental output
     #: stays byte-identical to a cold run
     incremental: Optional["IncrementalInfo"] = None
+    #: the artifact keys this call derived (None when it ran without a
+    #: store)
+    keys: Optional["ArtifactKeys"] = None
 
     @property
     def schedule_tree(self):
         return self.ddg_profile.builder.schedule_tree
 
-    def total_wall_seconds(self) -> float:
-        return self.control.wall_seconds + self.ddg_profile.wall_seconds
+
+@dataclass
+class _Call:
+    """The inputs one :func:`analyze` call hands to its stages."""
+
+    spec: ProgramSpec
+    options: AnalysisOptions
+    tracer: Tracer
+    extra_observers: Sequence
+    store: Optional["ArtifactStore"] = None
+    keys: Optional["ArtifactKeys"] = None
+    plan: Optional["IncrementalPlan"] = None
+
+
+@dataclass
+class _Stage2:
+    """What stage 2 produced, however it produced it."""
+
+    ddg_profile: DDGProfile
+    folded: "FoldedDDG"
+    dep_vectors: Optional[list] = None
+    cached: bool = False
+    shard_seconds: Optional[List[float]] = None
 
 
 def analyze(
     spec: ProgramSpec,
-    track_anti_output: bool = True,
-    build_schedule_tree: bool = True,
-    max_pieces: int = 6,
-    clamp: Optional[int] = None,
-    fuel: int = 50_000_000,
-    engine: str = "fast",
-    crosscheck: bool = False,
+    options: Optional[AnalysisOptions] = None,
+    *,
     store: Optional["ArtifactStore"] = None,
-    extra_observers: Sequence = (),
-    tracer: Optional[Tracer] = None,
-    fold_jobs: int = 1,
     baseline: Optional[str] = None,
+    tracer: Optional[Tracer] = None,
+    extra_observers: Sequence = (),
+    **fields,
 ) -> AnalysisResult:
     """The full POLY-PROF pipeline: profile, fold, analyze, plan.
 
-    ``clamp`` bounds the points folded per stream (Fig. 1's relevance
-    scalability clamping); clamped streams degrade to conservative
-    over-approximations.
+    ``options`` (default :class:`AnalysisOptions`) with any ``fields``
+    replaced, so ``analyze(spec, clamp=50)`` works as well.  The other
+    arguments never change what is computed: ``store`` caches
+    (:mod:`repro.store`), ``baseline`` re-analyzes incrementally,
+    ``tracer`` collects the span tree (a private stage-granularity one
+    runs when omitted, because ``result.timings`` is derived from it),
+    and ``extra_observers`` watch both profiled executions (the
+    service's deadline and progress observers) or abort them by
+    raising.
 
-    ``engine`` selects the execution/folding path: ``"fast"`` (block
-    compilation, batched instrumentation, fast folding backend) or
-    ``"reference"`` (the original per-instruction interpreter and
-    folder).  Both produce identical results for completed runs.
+    **Plan.**  With ``baseline`` (the program fingerprint of an
+    analysis already in ``store``), the program is statically diffed
+    against the baseline's manifest and the invalidated dependence
+    frontier is sliced (:func:`repro.incr.plan_incremental`): the plan
+    says whether stage 2 reuses everything, only the frontier's
+    complement, or nothing.
 
-    ``crosscheck`` additionally runs the dynamic-vs-static soundness
-    sanitizers (:mod:`repro.dataflow.crosscheck`) over the finished
-    result -- including an independent recount of the dependence
-    streams on the *other* engine -- and attaches the report.  The
-    analysis artifacts themselves are unaffected.
+    **Stage 1** (:func:`profile_control`) reconstructs the control
+    structure, or loads it from the store's ``cp-`` artifact, and puts
+    that artifact when the store lacks it.
 
-    ``store`` enables content-addressed caching (:mod:`repro.store`):
-    the workload and the options above are fingerprinted, and a warm
-    stage-2 hit skips both profiled executions *and* folding entirely,
-    leaving only the cheap feedback passes.  A stage-2 miss with a
-    stage-1 hit still skips Instrumentation I.  Cached and fresh runs
-    produce identical results; cache state only shows up in
-    ``result.timings``.
+    **Stage 2** (:func:`profile_ddg` plus the fold) produces the folded
+    DDG in one of four ways: a warm ``ddg-`` load; a stitch of the
+    baseline's region artifacts when the diff is all-unchanged; an
+    execution emitting only the frontier, stitched with the baseline's
+    regions; or a cold execution.  A stitch that fails falls back to
+    the cold execution.  ``fold_jobs`` only decides which sink the
+    execution feeds (in-process or sharded over worker processes).
+    Every way is byte-identical to the cold one; ``result.incremental``
+    says which ran.
 
-    ``extra_observers`` attach additional passive
-    :class:`~repro.isa.events.Instrumentation` observers to both
-    profiled executions -- the analysis service uses this to enforce
-    cooperative per-job deadlines/cancellation from worker threads
-    (where ``SIGALRM`` is unavailable).  They are deliberately *not*
-    part of the cache key: an observer must never change what is
-    computed, only watch it (or abort it by raising).
+    **Feedback** derives dependence vectors, analyzes the nest forest
+    and plans transformations (:mod:`repro.schedule`).
 
-    ``fold_jobs`` folds the stage-2 point streams in that many worker
-    processes (:mod:`repro.parallel`): the event stream is sharded by
-    statement/dependence key and folded concurrently with the
-    instrumented execution, then merged bit-identically to the serial
-    result.  Deliberately *not* part of the cache key: serial and
-    parallel folds produce the same ``ddg-`` artifact bytes, so a warm
-    hit folded either way serves both.  ``1`` (the default) keeps the
-    serial in-process fold.
-
-    ``tracer`` collects the hierarchical span tree of this call
-    (:mod:`repro.obs`).  When omitted a private stage-granularity
-    tracer runs anyway -- a handful of spans per call, unmeasurable
-    against an instrumented execution -- because the span tree is the
-    *only* timing source: ``result.timings`` and ``result.trace`` are
-    both derived from it.  Pass an explicit tracer to keep the spans
-    (``repro trace``, the suite runner, the service daemon all do).
-
-    ``baseline`` (requires ``store``) is the program fingerprint of a
-    previously analyzed baseline: the spec's program is statically
-    diffed against the baseline's manifest, the invalidated dependence
-    frontier is sliced (:mod:`repro.incr`), and only the frontier is
-    re-instrumented -- everything else is stitched from per-function
-    ``rgn-`` region artifacts.  The result is byte-identical to a cold
-    full analysis; what the machinery did is reported on
-    ``result.incremental``.  Any dynamic boundary violation or stitch
-    inconsistency falls back to a cold run automatically.
+    **Store write-through** puts whatever stage-2 artifact the store
+    lacks: the ``ddg-`` artifact, the ``man-`` manifest and the
+    per-function ``rgn-`` regions, so this analysis can serve as a
+    later baseline.
     """
-    from .folding import FastFoldingSink, FoldingSink
-    from .schedule import analyze_forest, build_nest_forest, plan_all
-    from .feedback.stride import stride_scores
-
+    options = replace(options or AnalysisOptions(), **fields)
     if tracer is None:
         # a standalone analyze() is its own trace front door: mint a
         # context so even library callers get stitchable span identity
-        from .obs.context import new_trace_context
-
         tracer = Tracer(context=new_trace_context())
     if baseline is not None and store is None:
         raise ValueError("analyze(baseline=...) requires an artifact store")
-    keys = None
-    if store is not None:
-        from .store import (
-            decode_control_profile,
-            decode_stage2,
-            encode_control_profile,
-            encode_stage2,
-            keys_for_spec,
-        )
+    keys = (
+        artifact_store.keys_for_spec(spec, options)
+        if store is not None
+        else None
+    )
+    call = _Call(spec, options, tracer, extra_observers, store, keys)
 
-        keys = keys_for_spec(
-            spec,
-            engine=engine,
-            fuel=fuel,
-            max_pieces=max_pieces,
-            clamp=clamp,
-            track_anti_output=track_anti_output,
-            build_schedule_tree=build_schedule_tree,
-        )
-
-    stage1_cached = stage2_cached = False
     with tracer.span(
-        "analyze", cat="pipeline", workload=spec.name, engine=engine
+        "analyze", cat="pipeline", workload=spec.name, engine=options.engine
     ) as root:
-        # -- incremental planning: diff + slice + region loads -----------------
-        incr_plan = None
         if baseline is not None:
-            from .ddg import FrontierViolation
-            from .incr import (
-                IncrementalMismatch,
-                plan_incremental,
-                stitch_folded,
+            call.plan = incr.plan_incremental(
+                spec, keys, baseline, store, tracer, options
             )
-            from .store import decode_stage2_meta
-
-            incr_plan = plan_incremental(
-                spec,
-                keys,
-                baseline,
-                store,
-                tracer,
-                engine=engine,
-                fuel=fuel,
-                max_pieces=max_pieces,
-                clamp=clamp,
-                track_anti_output=track_anti_output,
-                build_schedule_tree=build_schedule_tree,
-            )
-
-        # -- stage 1: interprocedural control structure ------------------------
         with tracer.span("instr1", cat="stage"):
-            control = None
-            if store is not None:
-                with tracer.span("stage1.load", cat="cache"):
-                    control = store.load(keys.stage1, decode_control_profile)
-                if (
-                    control is None
-                    and incr_plan is not None
-                    and incr_plan.mode == "identical"
-                ):
-                    # an all-unchanged diff implies identical control
-                    # structure (CFGs are uid-free), so the baseline's
-                    # stage-1 artifact serves verbatim
-                    with tracer.span("stage1.load_base", cat="cache"):
-                        control = store.load(
-                            incr_plan.base_keys.stage1,
-                            decode_control_profile,
-                        )
-            stage1_cached = control is not None
-            if control is None:
-                control = profile_control(
-                    spec,
-                    fuel=fuel,
-                    engine=engine,
-                    extra_observers=extra_observers,
-                    tracer=tracer,
-                )
-            if store is not None and not store.contains(keys.stage1):
-                with tracer.span("stage1.put", cat="cache"):
-                    store.put(keys.stage1, encode_control_profile(control))
-
-        # -- stage 2: DDG streams + folding ------------------------------------
-        shard_seconds = None
+            control, stage1_cached = _stage1(call)
         with tracer.span("instr2_fold", cat="stage") as stage2_span:
-            dep_vectors = None
-            loaded = None
-
-            def run_stage2(emit_funcs):
-                """One instrumented stage-2 execution + fold; ``None``
-                emits everything (cold), a set emits only the frontier."""
-                nonlocal shard_seconds
-                if fold_jobs > 1:
-                    from .parallel import ParallelFoldManager
-
-                    manager = ParallelFoldManager(
-                        fold_jobs,
-                        engine=engine,
-                        max_pieces=max_pieces,
-                        clamp=clamp,
-                    )
-                    try:
-                        ddgp = profile_ddg(
-                            spec,
-                            control,
-                            sink=manager.router,
-                            track_anti_output=track_anti_output,
-                            build_schedule_tree=build_schedule_tree,
-                            fuel=fuel,
-                            engine=engine,
-                            extra_observers=extra_observers,
-                            tracer=tracer,
-                            emit_funcs=emit_funcs,
-                        )
-                        with tracer.span(
-                            "fold.finalize", cat="fold", fold_jobs=manager.jobs
-                        ):
-                            folded = manager.finalize()
-                        manager.attach_spans(stage2_span)
-                        shard_seconds = manager.shard_busy_seconds()
-                    finally:
-                        manager.close()
-                else:
-                    sink_cls = (
-                        FastFoldingSink if engine == "fast" else FoldingSink
-                    )
-                    sink = sink_cls(max_pieces=max_pieces, clamp=clamp)
-                    ddgp = profile_ddg(
-                        spec,
-                        control,
-                        sink=sink,
-                        track_anti_output=track_anti_output,
-                        build_schedule_tree=build_schedule_tree,
-                        fuel=fuel,
-                        engine=engine,
-                        extra_observers=extra_observers,
-                        tracer=tracer,
-                        emit_funcs=emit_funcs,
-                    )
-                    with tracer.span("fold.finalize", cat="fold"):
-                        folded = sink.finalize(tracer=tracer)
-                return ddgp, folded
-
-            if store is not None:
-                with tracer.span("stage2.load", cat="cache"):
-                    loaded = store.load(
-                        keys.stage2, lambda p: decode_stage2(p, spec.program)
-                    )
-            if loaded is not None:
-                folded, ddgp, dep_vectors = loaded
-                stage2_cached = True
-                if incr_plan is not None:
-                    incr_plan.info.mode = "warm"
-                    incr_plan.info.reason = "stage2-warm-hit"
-            elif incr_plan is not None and incr_plan.mode == "identical":
-                try:
-                    with tracer.span("incr.stitch", cat="incr") as sp:
-                        base_payload = store.get(incr_plan.base_keys.stage2)
-                        if base_payload is None:
-                            raise IncrementalMismatch(
-                                "baseline stage-2 artifact vanished"
-                            )
-                        folded = stitch_folded(
-                            spec.program, None, incr_plan.regions, None
-                        )
-                        ddgp = decode_stage2_meta(base_payload)
-                        sp.count("regions_reused", len(incr_plan.regions))
-                    stage2_cached = True
-                except IncrementalMismatch as exc:
-                    incr_plan.info.mode = "cold"
-                    incr_plan.info.reason = f"fallback: {exc}"
-                    incr_plan.info.regions_reused = 0
-                    ddgp, folded = run_stage2(None)
-            elif incr_plan is not None and incr_plan.mode == "incremental":
-                try:
-                    ddgp, fresh = run_stage2(set(incr_plan.emit_funcs))
-                    with tracer.span("incr.stitch", cat="incr") as sp:
-                        folded = stitch_folded(
-                            spec.program,
-                            fresh,
-                            incr_plan.regions,
-                            ddgp.builder.context_ids,
-                        )
-                        sp.count("regions_reused", len(incr_plan.regions))
-                except (FrontierViolation, IncrementalMismatch) as exc:
-                    incr_plan.info.mode = "cold"
-                    incr_plan.info.reason = (
-                        f"fallback: {type(exc).__name__}: {exc}"
-                    )
-                    incr_plan.info.regions_reused = 0
-                    ddgp, folded = run_stage2(None)
-            else:
-                ddgp, folded = run_stage2(None)
-
-        # -- feedback: dependence vectors, forest analysis, planning -----------
+            stage2 = _stage2(call, control, stage2_span)
         with tracer.span("feedback", cat="stage"):
-            with tracer.span("feedback.forest", cat="feedback"):
-                forest = build_nest_forest(folded, deps=dep_vectors)
-            with tracer.span("feedback.analysis", cat="feedback"):
-                analyze_forest(forest)
-            with tracer.span("feedback.plan", cat="feedback"):
-                plans = plan_all(forest, stride_scores_of=stride_scores)
-            if store is not None and not store.contains(keys.stage2):
-                with tracer.span("stage2.put", cat="cache"):
-                    store.put(
-                        keys.stage2, encode_stage2(folded, ddgp, forest.deps)
-                    )
+            forest, plans = _feedback(call, stage2)
             if store is not None:
-                # write-through the incremental levels (manifest +
-                # per-function regions) on every stored run, so *this*
-                # analysis can serve as a future baseline
-                from .incr import build_manifest, encode_regions
-
-                with tracer.span("incr.put", cat="cache") as sp:
-                    if not store.contains(keys.manifest):
-                        manifest = (
-                            incr_plan.new_manifest
-                            if incr_plan is not None
-                            and incr_plan.new_manifest is not None
-                            else build_manifest(spec.program)
-                        )
-                        store.put(keys.manifest, manifest)
-                    missing = [
-                        f
-                        for f in spec.program.functions
-                        if not store.contains(keys.region(f))
-                    ]
-                    if missing:
-                        payloads = encode_regions(spec.program, folded)
-                        for func in missing:
-                            store.put(keys.region(func), payloads[func])
-                    sp.count("regions_written", len(missing))
+                _write_through(call, stage2, forest)
 
     timings = (
-        StageTimings.from_span_tree(root, stage1_cached, stage2_cached)
+        StageTimings.from_span_tree(root, stage1_cached, stage2.cached)
         if tracer.enabled
         else StageTimings(
-            stage1_cached=stage1_cached, stage2_cached=stage2_cached
+            stage1_cached=stage1_cached, stage2_cached=stage2.cached
         )
     )
     result = AnalysisResult(
         spec=spec,
         control=control,
-        ddg_profile=ddgp,
-        folded=folded,
+        ddg_profile=stage2.ddg_profile,
+        folded=stage2.folded,
         forest=forest,
         plans=plans,
-        engine=engine,
-        track_anti_output=track_anti_output,
+        engine=options.engine,
+        track_anti_output=options.track_anti_output,
         timings=timings,
         trace=root if tracer.enabled else None,
-        fold_jobs=max(1, fold_jobs),
-        shard_seconds=shard_seconds,
-        incremental=incr_plan.info if incr_plan is not None else None,
+        fold_jobs=max(1, options.fold_jobs),
+        shard_seconds=stage2.shard_seconds,
+        incremental=call.plan.info if call.plan is not None else None,
+        keys=keys,
     )
-    if crosscheck:
+    if options.crosscheck:
         from .dataflow.crosscheck import CheckOptions, run_crosscheck
 
         with tracer.span("crosscheck", cat="stage"):
             result.crosscheck = run_crosscheck(
-                result, CheckOptions(fuel=fuel)
+                result, CheckOptions(fuel=options.fuel)
             )
     return result
+
+
+def _stage1(call: _Call) -> Tuple[ControlProfile, bool]:
+    """Load or run Instrumentation I; returns (profile, loaded?)."""
+    store, keys, tracer = call.store, call.keys, call.tracer
+    control = None
+    if store is not None:
+        with tracer.span("stage1.load", cat="cache"):
+            control = store.load(
+                keys.stage1, artifact_store.decode_control_profile
+            )
+        if (
+            control is None
+            and call.plan is not None
+            and call.plan.mode == "identical"
+        ):
+            # an all-unchanged diff implies identical control structure
+            # (CFGs are uid-free), so the baseline's stage-1 artifact
+            # serves verbatim
+            with tracer.span("stage1.load_base", cat="cache"):
+                control = store.load(
+                    call.plan.base_keys.stage1,
+                    artifact_store.decode_control_profile,
+                )
+    cached = control is not None
+    if control is None:
+        control = profile_control(
+            call.spec,
+            fuel=call.options.fuel,
+            engine=call.options.engine,
+            extra_observers=call.extra_observers,
+            tracer=tracer,
+        )
+    if store is not None and not store.contains(keys.stage1):
+        with tracer.span("stage1.put", cat="cache"):
+            store.put(
+                keys.stage1, artifact_store.encode_control_profile(control)
+            )
+    return control, cached
+
+
+def _stage2(
+    call: _Call, control: ControlProfile, stage_span: Span
+) -> _Stage2:
+    """Load, stitch, or execute and fold stage 2."""
+    if call.store is not None:
+        with call.tracer.span("stage2.load", cat="cache"):
+            loaded = call.store.load(
+                call.keys.stage2,
+                partial(artifact_store.decode_stage2, program=call.spec.program),
+            )
+        if loaded is not None:
+            folded, ddgp, dep_vectors = loaded
+            if call.plan is not None:
+                call.plan.info.mode = "warm"
+                call.plan.info.reason = "stage2-warm-hit"
+            return _Stage2(ddgp, folded, dep_vectors, cached=True)
+    mode = call.plan.mode if call.plan is not None else "cold"
+    if mode == "identical":
+        try:
+            return _stitch_identical(call)
+        except incr.IncrementalMismatch as exc:
+            return _fall_back_cold(
+                call, control, stage_span, f"fallback: {exc}"
+            )
+    if mode == "incremental":
+        try:
+            return _stitch_frontier(call, control, stage_span)
+        except (FrontierViolation, incr.IncrementalMismatch) as exc:
+            return _fall_back_cold(
+                call,
+                control,
+                stage_span,
+                f"fallback: {type(exc).__name__}: {exc}",
+            )
+    return _execute_fold(call, control, None, stage_span)
+
+
+def _execute_fold(
+    call: _Call,
+    control: ControlProfile,
+    emit_funcs: Optional[set],
+    stage_span: Span,
+) -> _Stage2:
+    """One instrumented stage-2 execution and its fold.  ``emit_funcs``
+    None emits every function (cold); a set emits only the frontier.
+    ``fold_jobs`` decides only which sink the execution feeds."""
+    options, tracer = call.options, call.tracer
+    manager = None
+    if options.fold_jobs > 1:
+        from .parallel import ParallelFoldManager
+
+        manager = ParallelFoldManager(options.fold_jobs, options)
+        sink = manager.router
+    else:
+        sink = options.fold_sink()
+    try:
+        ddgp = profile_ddg(
+            call.spec,
+            control,
+            sink=sink,
+            track_anti_output=options.track_anti_output,
+            fuel=options.fuel,
+            engine=options.engine,
+            extra_observers=call.extra_observers,
+            tracer=tracer,
+            emit_funcs=emit_funcs,
+        )
+        if manager is None:
+            with tracer.span("fold.finalize", cat="fold"):
+                return _Stage2(ddgp, sink.finalize(tracer=tracer))
+        with tracer.span("fold.finalize", cat="fold", fold_jobs=manager.jobs):
+            folded = manager.finalize()
+        manager.attach_spans(stage_span)
+        return _Stage2(
+            ddgp, folded, shard_seconds=manager.shard_busy_seconds()
+        )
+    finally:
+        if manager is not None:
+            manager.close()
+
+
+def _stitch_identical(call: _Call) -> _Stage2:
+    """All-unchanged diff: nothing runs; the baseline's regions and
+    stage-2 metadata serve verbatim."""
+    plan = call.plan
+    with call.tracer.span("incr.stitch", cat="incr") as sp:
+        base_payload = call.store.get(plan.base_keys.stage2)
+        if base_payload is None:
+            raise incr.IncrementalMismatch(
+                "baseline stage-2 artifact vanished"
+            )
+        folded = incr.stitch_folded(call.spec.program, None, plan.regions, None)
+        ddgp = artifact_store.decode_stage2_meta(base_payload)
+        sp.count("regions_reused", len(plan.regions))
+    return _Stage2(ddgp, folded, cached=True)
+
+
+def _stitch_frontier(
+    call: _Call, control: ControlProfile, stage_span: Span
+) -> _Stage2:
+    """Execute emitting only the frontier, then stitch in the baseline
+    regions of every other function."""
+    plan = call.plan
+    fresh = _execute_fold(call, control, set(plan.emit_funcs), stage_span)
+    with call.tracer.span("incr.stitch", cat="incr") as sp:
+        fresh.folded = incr.stitch_folded(
+            call.spec.program,
+            fresh.folded,
+            plan.regions,
+            fresh.ddg_profile.builder.context_ids,
+        )
+        sp.count("regions_reused", len(plan.regions))
+    return fresh
+
+
+def _fall_back_cold(
+    call: _Call, control: ControlProfile, stage_span: Span, reason: str
+) -> _Stage2:
+    """A stitch failed: record why, then run stage 2 cold."""
+    info = call.plan.info
+    info.mode = "cold"
+    info.reason = reason
+    info.regions_reused = 0
+    return _execute_fold(call, control, None, stage_span)
+
+
+def _feedback(call: _Call, stage2: _Stage2):
+    """Dependence vectors, forest analysis, transformation plans."""
+    tracer = call.tracer
+    with tracer.span("feedback.forest", cat="feedback"):
+        forest = schedule.build_nest_forest(
+            stage2.folded, deps=stage2.dep_vectors
+        )
+    with tracer.span("feedback.analysis", cat="feedback"):
+        schedule.analyze_forest(forest)
+    with tracer.span("feedback.plan", cat="feedback"):
+        plans = schedule.plan_all(forest, stride_scores_of=stride_scores)
+    return forest, plans
+
+
+def _write_through(call: _Call, stage2: _Stage2, forest) -> None:
+    """Put every artifact the store lacks: the stage-2 ``ddg-``, and
+    the incremental levels (manifest and per-function regions) so this
+    analysis can serve as a future baseline."""
+    store, keys, tracer, program = (
+        call.store, call.keys, call.tracer, call.spec.program
+    )
+    if not store.contains(keys.stage2):
+        with tracer.span("stage2.put", cat="cache"):
+            store.put(
+                keys.stage2,
+                artifact_store.encode_stage2(
+                    stage2.folded, stage2.ddg_profile, forest.deps
+                ),
+            )
+    with tracer.span("incr.put", cat="cache") as sp:
+        if not store.contains(keys.manifest):
+            plan = call.plan
+            manifest = (
+                plan.new_manifest
+                if plan is not None and plan.new_manifest is not None
+                else incr.build_manifest(program)
+            )
+            store.put(keys.manifest, manifest)
+        missing = [
+            f for f in program.functions if not store.contains(keys.region(f))
+        ]
+        if missing:
+            payloads = incr.encode_regions(program, stage2.folded)
+            for func in missing:
+                store.put(keys.region(func), payloads[func])
+        sp.count("regions_written", len(missing))

@@ -164,15 +164,11 @@ def task_name(task: SuiteTask) -> str:
 
 def _analyze_task(
     task: SuiteTask,
-    engine: str,
-    fuel: int,
-    clamp: Optional[int],
+    options: "AnalysisOptions",
     timeout: Optional[float],
     with_report: bool,
-    crosscheck: bool = False,
     cache_dir: Optional[str] = None,
     cache_max_bytes: Optional[int] = None,
-    fold_jobs: int = 1,
     trace: Optional[dict] = None,
 ) -> WorkloadResult:
     """Worker body: analyze one workload, never raise.
@@ -207,11 +203,7 @@ def _analyze_task(
                 from .feedback.report import render_report
                 from .pipeline import analyze
 
-                result = analyze(
-                    spec, engine=engine, fuel=fuel, clamp=clamp,
-                    crosscheck=crosscheck, store=store, tracer=tracer,
-                    fold_jobs=fold_jobs,
-                )
+                result = analyze(spec, options, store=store, tracer=tracer)
                 report = None
                 if with_report:
                     with tracer.span("render_report", cat="feedback"):
@@ -225,7 +217,7 @@ def _analyze_task(
             name=name,
             ok=True,
             wall_seconds=time.perf_counter() - t0,
-            engine=engine,
+            engine=options.engine,
             t_instr1=result.timings.instr1,
             t_instr2_fold=result.timings.instr2_fold,
             t_feedback=result.timings.feedback,
@@ -249,7 +241,7 @@ def _analyze_task(
             timed_out=True,
             error=f"timed out after {timeout:g}s",
             wall_seconds=time.perf_counter() - t0,
-            engine=engine,
+            engine=options.engine,
         )
     except KeyboardInterrupt:
         # the user wants the *suite* to stop, not an error record for
@@ -263,38 +255,37 @@ def _analyze_task(
                 traceback.format_exception_only(type(exc), exc)
             ).strip(),
             wall_seconds=time.perf_counter() - t0,
-            engine=engine,
+            engine=options.engine,
         )
 
 
 def run_suite(
     tasks: Sequence[SuiteTask],
+    options: Optional["AnalysisOptions"] = None,
+    *,
     jobs: Optional[int] = None,
     timeout: Optional[float] = None,
-    engine: str = "fast",
-    fuel: int = 50_000_000,
-    clamp: Optional[int] = None,
     with_report: bool = False,
-    crosscheck: bool = False,
     cache_dir: Optional[str] = None,
     cache_max_bytes: Optional[int] = None,
-    fold_jobs: int = 1,
     trace: Optional[dict] = None,
 ) -> List[WorkloadResult]:
     """Analyze ``tasks``, ``jobs`` at a time; results in task order.
 
-    ``fold_jobs > 1`` folds each workload's stage 2 in that many shard
-    processes (:mod:`repro.parallel`); total process fan-out is then
+    Every task runs under ``options`` (default
+    :class:`~repro.pipeline.AnalysisOptions`).  ``fold_jobs > 1``
+    folds each workload's stage 2 in that many shard processes
+    (:mod:`repro.parallel`); total process fan-out is then
     ``jobs x (1 + fold_jobs)``, so callers on small hosts should trade
-    one against the other.
+    one against the other.  ``crosscheck`` runs the soundness
+    sanitizers per workload and reports the violation count.
 
     ``jobs`` defaults to the CPU count.  ``timeout`` bounds each
     workload's wall time (None = unbounded).  Failures degrade to
     error records -- the suite always returns one result per task.
-    ``crosscheck`` runs the soundness sanitizers per workload and
-    reports the violation count.  ``cache_dir`` points every worker at
-    one shared artifact store (:mod:`repro.store`), optionally capped
-    at ``cache_max_bytes`` of LRU-evicted artifacts.
+    ``cache_dir`` points every worker at one shared artifact store
+    (:mod:`repro.store`), optionally capped at ``cache_max_bytes`` of
+    LRU-evicted artifacts.
 
     ``KeyboardInterrupt`` (Ctrl-C / SIGINT) never escapes: pending
     workloads are cancelled, and every unfinished task comes back as
@@ -306,6 +297,10 @@ def run_suite(
     workload's span forest into one distributed trace across the
     process pool; None leaves each workload's trace unlinked.
     """
+    from .pipeline import AnalysisOptions
+
+    options = options or AnalysisOptions()
+    engine = options.engine
     if jobs is None:
         jobs = os.cpu_count() or 1
     if jobs <= 1 or len(tasks) <= 1:
@@ -314,9 +309,8 @@ def run_suite(
             for t in tasks:
                 results_inline.append(
                     _analyze_task(
-                        t, engine, fuel, clamp, timeout, with_report,
-                        crosscheck, cache_dir, cache_max_bytes, fold_jobs,
-                        trace,
+                        t, options, timeout, with_report, cache_dir,
+                        cache_max_bytes, trace,
                     )
                 )
         except KeyboardInterrupt:
@@ -332,9 +326,8 @@ def run_suite(
     try:
         futures = [
             pool.submit(
-                _analyze_task, t, engine, fuel, clamp, timeout,
-                with_report, crosscheck, cache_dir, cache_max_bytes,
-                fold_jobs, trace,
+                _analyze_task, t, options, timeout, with_report,
+                cache_dir, cache_max_bytes, trace,
             )
             for t in tasks
         ]

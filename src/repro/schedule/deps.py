@@ -47,11 +47,6 @@ def loop_path(stmt: Statement) -> Tuple[Tuple[str, ...], ...]:
     return tuple(ctx[j] for j in range(len(ctx) - 1))
 
 
-def path_loop_id(elem: Tuple[str, ...]) -> str:
-    """The loop id of one path element (its last component)."""
-    return elem[-1]
-
-
 def common_depth(src: Statement, dst: Statement) -> int:
     """Number of loop dimensions shared by two statements.
 
@@ -110,15 +105,6 @@ class DepVector:
             return False
         return all(self.may_be_zero(j) for j in range(level)) and \
             self.may_be_nonzero(level)
-
-    def carried_somewhere_within(self, first: int) -> bool:
-        """May the dependence be carried at any level >= first?"""
-        return any(
-            self.may_be_carried_at(l) for l in range(first, self.common)
-        )
-
-    def is_loop_independent(self) -> bool:
-        return all(s == "0" for s in self.signs)
 
 
 def _delta_info(dep: FoldedDep, common: int) -> Tuple[Tuple[str, ...], Tuple[Bound, ...]]:

@@ -673,7 +673,7 @@ class AnalysisService:
                 "job_start",
                 job_id=job.id,
                 workload=job.workload,
-                engine=job.options.engine,
+                engine=job.options.analysis.engine,
                 trace_id=job.trace_id,
             )
             started_before = job.started_at

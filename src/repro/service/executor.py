@@ -155,14 +155,10 @@ def run_analysis(
     try:
         result = analyze(
             spec,
-            engine=options.engine,
-            fuel=options.fuel,
-            clamp=options.clamp,
-            crosscheck=options.crosscheck,
+            options.analysis,
             store=store,
             extra_observers=[observer, progress],
             tracer=tracer,
-            fold_jobs=options.fold_jobs,
             baseline=options.baseline if store is not None else None,
         )
         _beat(phase="done", dyn_instrs=progress.dyn_instrs)
@@ -276,11 +272,7 @@ def run_sweep_analysis(
             result = run_sweep(
                 workload,
                 points,
-                engine=options.engine,
-                fuel=options.fuel,
-                clamp=options.clamp,
-                crosscheck=options.crosscheck,
-                fold_jobs=options.fold_jobs,
+                options.analysis,
                 jobs=1,
                 store=store,
                 tracer=tracer,

@@ -28,6 +28,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..pipeline import AnalysisOptions
+
 
 class JobState:
     QUEUED = "queued"
@@ -42,59 +44,57 @@ class JobState:
 
 @dataclass
 class JobOptions:
-    """The pipeline/feedback options one submission carries."""
+    """The options one submission carries: the analysis options plus
+    the two that only the service acts on."""
 
-    engine: str = "fast"
-    crosscheck: bool = False
-    clamp: Optional[int] = None
-    fuel: int = 50_000_000
+    #: the pipeline options (``fold_jobs`` bounded by the service's
+    #: fold-jobs cap at submission time)
+    analysis: AnalysisOptions = field(default_factory=AnalysisOptions)
     timeout: Optional[float] = None
-    #: fold worker processes for stage 2 (bounded by the service's
-    #: fold-jobs cap at submission time; 1 = serial in-process fold)
-    fold_jobs: int = 1
     #: baseline program fingerprint for incremental re-analysis
     #: (``baseline_fingerprint`` on POST /v1/analyze); None = cold
     baseline: Optional[str] = None
 
     def as_dict(self) -> dict:
+        analysis = self.analysis
         return {
-            "engine": self.engine,
-            "crosscheck": self.crosscheck,
-            "clamp": self.clamp,
-            "fuel": self.fuel,
+            "engine": analysis.engine,
+            "crosscheck": analysis.crosscheck,
+            "clamp": analysis.clamp,
+            "fuel": analysis.fuel,
             "timeout": self.timeout,
-            "fold_jobs": self.fold_jobs,
+            "fold_jobs": analysis.fold_jobs,
             "baseline": self.baseline,
         }
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "JobOptions":
+        """Inverse of :meth:`as_dict` (the process-pool payload)."""
+        fields = dict(doc)
+        timeout = fields.pop("timeout")
+        baseline = fields.pop("baseline")
+        return cls(AnalysisOptions(**fields), timeout, baseline)
 
 
 def derive_job_key(spec, options: JobOptions) -> str:
     """Content-addressed identity of one (workload, options) request.
 
     Builds on the artifact store's stage-2 key (program + state
-    fingerprints + pipeline options), then folds in the options that
-    change the *response* but not the cached artifacts.  ``timeout`` is
-    deliberately excluded: it bounds how long we wait, not what is
-    computed.  ``fold_jobs`` is excluded for the same reason: serial
+    fingerprints + the key-bearing analysis options), then folds in
+    ``crosscheck``, the one execution-only option that changes the
+    *response*.  ``fold_jobs`` stays out like in the store keys: serial
     and parallel folds are bit-identical (:mod:`repro.parallel`), so a
     ``fold_jobs=4`` request rightly coalesces onto an identical
-    ``fold_jobs=1`` job and vice versa.  ``baseline`` is excluded too:
-    incremental and cold runs of the same program produce byte-identical
-    artifacts, so an incremental request rightly coalesces onto a cold
-    job of the same program and vice versa.
+    ``fold_jobs=1`` job and vice versa.  ``timeout`` is excluded: it
+    bounds how long we wait, not what is computed.  ``baseline`` is
+    excluded too: incremental and cold runs of the same program produce
+    byte-identical artifacts, so an incremental request rightly
+    coalesces onto a cold job of the same program and vice versa.
     """
     from ..store import keys_for_spec
 
-    keys = keys_for_spec(
-        spec,
-        engine=options.engine,
-        fuel=options.fuel,
-        max_pieces=6,
-        clamp=options.clamp,
-        track_anti_output=True,
-        build_schedule_tree=True,
-    )
-    raw = f"{keys.stage2}|crosscheck={options.crosscheck}"
+    keys = keys_for_spec(spec, options.analysis)
+    raw = f"{keys.stage2}|crosscheck={options.analysis.crosscheck}"
     return hashlib.sha256(raw.encode("utf-8")).hexdigest()
 
 

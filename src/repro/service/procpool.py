@@ -166,7 +166,7 @@ def _worker_main(ctl, evt, cache_dir, cache_max_bytes) -> None:
             before = store.stats.as_dict() if store else None
             try:
                 spec = _rebuild_spec(data["payload"])
-                options = JobOptions(**data["options"])
+                options = JobOptions.from_dict(data["options"])
                 trace_ctx = (
                     TraceContext.from_dict(data["trace"])
                     if data.get("trace")
@@ -215,10 +215,6 @@ def _worker_main(ctl, evt, cache_dir, cache_max_bytes) -> None:
                 conn.close()
             except OSError:
                 pass
-
-
-class WorkerCrashed(Exception):
-    """The worker process died while it owned a job."""
 
 
 class ProcessWorker:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..pipeline import AnalysisOptions
 from .jobs import JobOptions, derive_job_key, derive_sweep_key
 
 ENGINES = ("fast", "reference")
@@ -116,15 +117,14 @@ def build_options(
                 "baseline_fingerprint requires the service to run "
                 "with an artifact store (cache_dir)"
             )
-    return JobOptions(
+    analysis = AnalysisOptions(
         engine=engine,
         crosscheck=bool(body.get("crosscheck", False)),
         clamp=None if clamp is None else int(clamp),
-        fuel=int(body.get("fuel", 50_000_000)),
-        timeout=timeout,
+        fuel=int(body.get("fuel", AnalysisOptions.fuel)),
         fold_jobs=fold_jobs,
-        baseline=baseline,
     )
+    return JobOptions(analysis, timeout=timeout, baseline=baseline)
 
 
 def sweep_points(body: dict) -> Optional[List[Dict[str, int]]]:

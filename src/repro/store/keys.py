@@ -5,8 +5,11 @@ Two cache levels mirror the pipeline's stage structure:
 * the **stage-1 key** covers everything Instrumentation I depends on:
   the program IR, the initial state, the engine, and the fuel budget;
 * the **stage-2 key** extends it with the Instrumentation-II/folding
-  options (``track_anti_output``, ``build_schedule_tree``,
-  ``max_pieces``, ``clamp``).
+  options (``max_pieces``, ``clamp``, ``track_anti_output``).
+
+The options are the key-bearing fields of
+:class:`~repro.pipeline.AnalysisOptions`; its execution-only fields
+(``fold_jobs``, ``crosscheck``) never enter a key.
 
 Changing only a stage-2 option therefore invalidates the folded DDG
 but still reuses the cached :class:`~repro.pipeline.ControlProfile`.
@@ -32,10 +35,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING
 
 from ..isa.fingerprint import fingerprint_program, fingerprint_state
 from .store import STORE_FORMAT_VERSION
+
+if TYPE_CHECKING:
+    from ..pipeline import AnalysisOptions
 
 
 @dataclass(frozen=True)
@@ -84,25 +90,24 @@ def manifest_key(program_digest: str) -> str:
 
 
 def derive_keys(
-    program_digest: str,
-    state_digest: str,
-    *,
-    engine: str,
-    fuel: int,
-    max_pieces: int,
-    clamp: Optional[int],
-    track_anti_output: bool,
-    build_schedule_tree: bool,
+    program_digest: str, state_digest: str, options: "AnalysisOptions"
 ) -> ArtifactKeys:
+    """The keys of one (program, state) pair under ``options``.
+
+    Only the key-bearing :class:`~repro.pipeline.AnalysisOptions`
+    fields enter the key material; the execution-only ones
+    (``fold_jobs``, ``crosscheck``) never do.  The literal
+    ``|schedule_tree=True`` is what every stage-2 key has always
+    carried, kept so no key moves."""
     base = (
         f"v{STORE_FORMAT_VERSION}|prog={program_digest}"
-        f"|state={state_digest}|engine={engine}|fuel={fuel}"
+        f"|state={state_digest}|engine={options.engine}|fuel={options.fuel}"
     )
     stage2 = (
         base
-        + f"|max_pieces={max_pieces}|clamp={clamp}"
-        + f"|anti_output={track_anti_output}"
-        + f"|schedule_tree={build_schedule_tree}"
+        + f"|max_pieces={options.max_pieces}|clamp={options.clamp}"
+        + f"|anti_output={options.track_anti_output}"
+        + "|schedule_tree=True"
     )
     return ArtifactKeys(
         stage1="cp-" + _hex(base),
@@ -114,16 +119,7 @@ def derive_keys(
     )
 
 
-def keys_for_spec(
-    spec,
-    *,
-    engine: str,
-    fuel: int,
-    max_pieces: int,
-    clamp: Optional[int],
-    track_anti_output: bool,
-    build_schedule_tree: bool,
-) -> ArtifactKeys:
+def keys_for_spec(spec, options: "AnalysisOptions") -> ArtifactKeys:
     """Fingerprint one :class:`~repro.pipeline.ProgramSpec` and derive
     its artifact keys.  Materializes (and discards) one fresh state --
     cheap next to even a single instrumented execution."""
@@ -131,10 +127,5 @@ def keys_for_spec(
     return derive_keys(
         fingerprint_program(spec.program),
         fingerprint_state(args, memory),
-        engine=engine,
-        fuel=fuel,
-        max_pieces=max_pieces,
-        clamp=clamp,
-        track_anti_output=track_anti_output,
-        build_schedule_tree=build_schedule_tree,
+        options,
     )

@@ -22,8 +22,8 @@ the same stage-2 artifacts, which is what ``bench_sweep.py`` gates.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import List, Mapping, Optional, Sequence
 
 from .codec import encode_sweep, sweep_key
 from .grid import Point, complete_points, default_grid, point_bindings
@@ -89,12 +89,8 @@ def _null_tracer():
 def run_sweep(
     workload: str,
     points: Optional[Sequence[Mapping[str, object]]] = None,
+    options=None,
     *,
-    engine: str = "fast",
-    fuel: int = 50_000_000,
-    clamp: Optional[int] = None,
-    crosscheck: bool = False,
-    fold_jobs: int = 1,
     jobs: Optional[int] = None,
     timeout: Optional[float] = None,
     store=None,
@@ -110,12 +106,14 @@ def run_sweep(
     default grid.  ``jobs`` bounds the warm-phase process pool (None =
     cpu count; <= 1, or no store, skips the warm phase -- without a
     shared store parallel warm runs could not hand their artifacts to
-    the collect phase).  Remaining options mirror
-    :func:`repro.pipeline.analyze` and apply to every point.
+    the collect phase).  ``options`` (default
+    :class:`~repro.pipeline.AnalysisOptions`) apply to every point.
     """
-    from ..pipeline import analyze
+    from ..pipeline import AnalysisOptions, analyze
     from ..store.keys import keys_for_spec
     from ..workloads import all_workloads
+
+    options = options or AnalysisOptions()
 
     t0 = time.perf_counter()
     reg = all_workloads()
@@ -149,14 +147,12 @@ def run_sweep(
             warm_ctx = tracer.current_context()
             run_suite(
                 [_PointTask(workload, point) for point in grid],
+                # only fills the store: a crosscheck here is wasted work
+                replace(options, crosscheck=False),
                 jobs=jobs,
                 timeout=timeout,
-                engine=engine,
-                fuel=fuel,
-                clamp=clamp,
                 cache_dir=store.root,
                 cache_max_bytes=store.max_bytes,
-                fold_jobs=fold_jobs,
                 trace=warm_ctx.as_dict() if warm_ctx else None,
             )
 
@@ -164,15 +160,6 @@ def run_sweep(
     runs: List[PointRun] = []
     for point in grid:
         spec = reg[workload](**point_bindings(point))
-        keys = keys_for_spec(
-            spec,
-            engine=engine,
-            fuel=fuel,
-            max_pieces=6,
-            clamp=clamp,
-            track_anti_output=True,
-            build_schedule_tree=True,
-        )
         tp = time.perf_counter()
         with tracer.span(
             "sweep.point",
@@ -183,19 +170,17 @@ def run_sweep(
             try:
                 result = analyze(
                     spec,
-                    engine=engine,
-                    fuel=fuel,
-                    clamp=clamp,
-                    crosscheck=crosscheck,
+                    options,
                     store=store,
                     extra_observers=extra_observers,
                     tracer=tracer,
-                    fold_jobs=fold_jobs,
                 )
             except Exception as exc:
                 raise SweepError(
                     f"sweep point {point_bindings(point)} failed: {exc}"
                 ) from exc
+        # a store-less analyze() derives no keys; fingerprint here then
+        keys = result.keys or keys_for_spec(spec, options)
         profiles.append(profile_of(result, point, keys.stage2))
         runs.append(
             PointRun(
@@ -221,7 +206,7 @@ def run_sweep(
                 stored = True
     return SweepResult(
         workload=workload,
-        engine=engine,
+        engine=options.engine,
         points=grid,
         model=model,
         payload=payload,

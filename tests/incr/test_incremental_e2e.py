@@ -17,7 +17,12 @@ from repro.feedback.jsonout import (
 from repro.incr import edited_spec, renumbered_spec
 from repro.isa import fingerprint_program
 from repro.obs import Tracer
-from repro.pipeline import analyze, profile_control, profile_ddg
+from repro.pipeline import (
+    AnalysisOptions,
+    analyze,
+    profile_control,
+    profile_ddg,
+)
 from repro.store import ArtifactStore, keys_for_spec
 from repro.workloads import all_workloads
 
@@ -146,10 +151,7 @@ def test_tampered_region_falls_back_cold_and_stays_correct(tmp_path):
     baseline = fingerprint_program(_spec().program)
     analyze(_spec(), store=store)
 
-    keys = keys_for_spec(
-        _spec(), engine="fast", fuel=50_000_000, max_pieces=6, clamp=None,
-        track_anti_output=True, build_schedule_tree=True,
-    )
+    keys = keys_for_spec(_spec(), AnalysisOptions())
     key = keys.region("main")  # the region an assign_points edit reuses
     payload = store.get(key)
     payload["statements"][0]["ord"] = 10**6
@@ -170,10 +172,7 @@ def test_missing_region_artifact_joins_frontier(tmp_path):
     store = ArtifactStore(str(tmp_path))
     baseline = fingerprint_program(_spec().program)
     analyze(_spec(), store=store)
-    keys = keys_for_spec(
-        _spec(), engine="fast", fuel=50_000_000, max_pieces=6, clamp=None,
-        track_anti_output=True, build_schedule_tree=True,
-    )
+    keys = keys_for_spec(_spec(), AnalysisOptions())
     import os
 
     os.unlink(store.path_of(keys.region("main")))

@@ -130,7 +130,7 @@ class TestSpecFromDocuments:
     def test_spec_keys_match_original(self):
         """An inline submission must cache/dedup exactly like the same
         program submitted as a registered workload would."""
-        from repro.pipeline import ProgramSpec
+        from repro.pipeline import AnalysisOptions, ProgramSpec
         from repro.store import keys_for_spec
 
         program = build_sample()
@@ -146,16 +146,8 @@ class TestSpecFromDocuments:
             encode_state(args, memory),
             name="sample",
         )
-        opts = dict(
-            engine="fast",
-            fuel=50_000_000,
-            max_pieces=6,
-            clamp=None,
-            track_anti_output=True,
-            build_schedule_tree=True,
-        )
-        assert keys_for_spec(native, **opts) == keys_for_spec(
-            inline, **opts
+        assert keys_for_spec(native, AnalysisOptions()) == keys_for_spec(
+            inline, AnalysisOptions()
         )
 
     def test_state_doc_optional(self):

@@ -21,7 +21,7 @@ from repro.isa.instructions import Instr
 from repro.obs import Tracer, validate_chrome_trace
 from repro.obs.chrometrace import chrome_trace_document
 from repro.parallel import ParallelFoldManager
-from repro.pipeline import analyze
+from repro.pipeline import AnalysisOptions, analyze
 from repro.runner import render_suite_table, run_suite
 from repro.store import ArtifactStore, keys_for_spec
 from repro.workloads import all_workloads
@@ -42,15 +42,7 @@ def _blob(result):
 
 
 def _stage2_key(spec):
-    return keys_for_spec(
-        spec,
-        engine="fast",
-        fuel=50_000_000,
-        max_pieces=6,
-        clamp=None,
-        track_anti_output=True,
-        build_schedule_tree=True,
-    ).stage2
+    return keys_for_spec(spec, AnalysisOptions()).stage2
 
 
 class TestBitIdentity:
@@ -162,7 +154,7 @@ class TestAdversarialBoundaries:
         _drive(serial, batched=batched)
         with ParallelFoldManager(
             jobs=4,
-            engine=engine,
+            options=AnalysisOptions(engine=engine),
             stmt_route=stmt_route,
             dep_route=dep_route,
         ) as manager:
@@ -266,7 +258,7 @@ class TestTraceFanout:
 
 class TestSuiteSurface:
     def test_run_suite_threads_fold_jobs(self):
-        (res,) = run_suite(["nn"], jobs=1, fold_jobs=2)
+        (res,) = run_suite(["nn"], AnalysisOptions(fold_jobs=2), jobs=1)
         assert res.ok
         assert res.fold_jobs == 2
         assert res.t_shards is not None and len(res.t_shards) == 2

@@ -43,17 +43,17 @@ class TestCap:
 class TestOptionParsing:
     def test_default_is_serial(self):
         svc = _unstarted(max_fold_jobs=4)
-        assert svc._build_options({}).fold_jobs == 1
+        assert svc._build_options({}).analysis.fold_jobs == 1
 
     def test_passthrough_under_cap(self):
         svc = _unstarted(max_fold_jobs=4)
-        assert svc._build_options({"fold_jobs": 3}).fold_jobs == 3
+        assert svc._build_options({"fold_jobs": 3}).analysis.fold_jobs == 3
 
     def test_silently_clamped_to_cap(self):
         # clamping (not rejecting) is deliberate: the capped request
         # still computes the identical result
         svc = _unstarted(max_fold_jobs=2)
-        assert svc._build_options({"fold_jobs": 64}).fold_jobs == 2
+        assert svc._build_options({"fold_jobs": 64}).analysis.fold_jobs == 2
 
     @pytest.mark.parametrize("bad", ("three", None, [2], 0, -1))
     def test_invalid_values_are_400s(self, bad):

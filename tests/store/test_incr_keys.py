@@ -1,19 +1,18 @@
 """Keys of the incremental store levels (``man-`` and ``rgn-``)."""
 
+import dataclasses
+
 import pytest
 
+from repro.pipeline import AnalysisOptions
 from repro.store import keys_for_spec
 from repro.store.keys import derive_keys, manifest_key
 from repro.workloads import all_workloads
 
 
 def _keys(**overrides):
-    opts = dict(
-        engine="fast", fuel=50_000_000, max_pieces=6, clamp=None,
-        track_anti_output=True, build_schedule_tree=True,
-    )
-    opts.update(overrides)
-    return keys_for_spec(all_workloads()["kmeans"](), **opts)
+    options = dataclasses.replace(AnalysisOptions(), **overrides)
+    return keys_for_spec(all_workloads()["kmeans"](), options)
 
 
 def test_manifest_key_depends_on_program_digest_alone():
@@ -38,10 +37,7 @@ def test_region_keys_distinct_per_function_and_options():
 
 
 def test_region_requires_region_base():
-    bare = derive_keys(
-        "ab" * 32, "cd" * 32, engine="fast", fuel=1, max_pieces=6,
-        clamp=None, track_anti_output=True, build_schedule_tree=True,
-    )
+    bare = derive_keys("ab" * 32, "cd" * 32, AnalysisOptions(fuel=1))
     assert bare.region_base  # derive_keys always fills it
     from repro.store.keys import ArtifactKeys
 

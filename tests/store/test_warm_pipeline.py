@@ -17,7 +17,7 @@ import repro.store.keys as keys_mod
 import repro.store.store as store_mod
 from repro.feedback import compute_region_metrics
 from repro.feedback.report import render_report
-from repro.pipeline import analyze
+from repro.pipeline import AnalysisOptions, analyze
 from repro.runner import render_suite_table, run_suite
 from repro.store import ArtifactStore, keys_for_spec
 from repro.workloads import all_workloads
@@ -103,14 +103,8 @@ def test_program_mutation_invalidates(tmp_path):
                 )
                 break
         break
-    keys_orig = keys_for_spec(
-        spec, engine="fast", fuel=50_000_000, max_pieces=6, clamp=None,
-        track_anti_output=True, build_schedule_tree=True,
-    )
-    keys_mut = keys_for_spec(
-        mutated, engine="fast", fuel=50_000_000, max_pieces=6, clamp=None,
-        track_anti_output=True, build_schedule_tree=True,
-    )
+    keys_orig = keys_for_spec(spec, AnalysisOptions())
+    keys_mut = keys_for_spec(mutated, AnalysisOptions())
     assert keys_orig.program_digest != keys_mut.program_digest
     assert keys_orig.stage1 != keys_mut.stage1
     assert keys_orig.stage2 != keys_mut.stage2
@@ -139,13 +133,9 @@ def test_option_change_reuses_stage1(tmp_path):
 
 def test_engine_and_fuel_are_stage1_inputs(tmp_path):
     spec = all_workloads()["nw"]()
-    base = dict(
-        max_pieces=6, clamp=None,
-        track_anti_output=True, build_schedule_tree=True,
-    )
-    k1 = keys_for_spec(spec, engine="fast", fuel=50_000_000, **base)
-    k2 = keys_for_spec(spec, engine="reference", fuel=50_000_000, **base)
-    k3 = keys_for_spec(spec, engine="fast", fuel=1_000_000, **base)
+    k1 = keys_for_spec(spec, AnalysisOptions())
+    k2 = keys_for_spec(spec, AnalysisOptions(engine="reference"))
+    k3 = keys_for_spec(spec, AnalysisOptions(fuel=1_000_000))
     assert len({k1.stage1, k2.stage1, k3.stage1}) == 3
     assert len({k1.stage2, k2.stage2, k3.stage2}) == 3
 

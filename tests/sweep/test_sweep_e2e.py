@@ -12,6 +12,7 @@ import pytest
 
 from repro.cli import main
 from repro.feedback.jsonout import render_json
+from repro.pipeline import AnalysisOptions
 from repro.sweep import SweepError, run_sweep, sweep_document
 
 POINTS = [{"n": 8}, {"n": 10}, {"n": 12}]
@@ -43,14 +44,18 @@ class TestDeterminism:
         )
 
     def test_fold_jobs_is_byte_identical(self, baseline):
-        folded = run_sweep("nw", POINTS, jobs=1, fold_jobs=2)
+        folded = run_sweep(
+            "nw", POINTS, AnalysisOptions(fold_jobs=2), jobs=1
+        )
         assert folded.key == baseline.key
         assert render_json(folded.payload) == render_json(
             baseline.payload
         )
 
     def test_reference_engine_payload_is_byte_identical(self, baseline):
-        ref = run_sweep("nw", POINTS, jobs=1, engine="reference")
+        ref = run_sweep(
+            "nw", POINTS, AnalysisOptions(engine="reference"), jobs=1
+        )
         # the swp- *key* binds the engine (it derives from stage-2
         # artifact keys); the model payload must not
         assert ref.key != baseline.key

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.pipeline import AnalysisOptions
 from repro.runner import (
     WorkloadResult,
     render_suite_table,
@@ -107,8 +108,8 @@ def test_with_report():
 
 
 def test_engine_flag_threaded_through():
-    (ref,) = run_suite(["nn"], jobs=1, engine="reference")
-    (fast,) = run_suite(["nn"], jobs=1, engine="fast")
+    (ref,) = run_suite(["nn"], AnalysisOptions(engine="reference"), jobs=1)
+    (fast,) = run_suite(["nn"], AnalysisOptions(engine="fast"), jobs=1)
     assert ref.engine == "reference"
     assert (ref.dyn_instrs, ref.statements, ref.deps, ref.plans) == (
         fast.dyn_instrs,

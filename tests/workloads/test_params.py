@@ -6,6 +6,7 @@ build the byte-identical program and initial state it always built.
 
 import pytest
 
+from repro.pipeline import AnalysisOptions
 from repro.store.keys import keys_for_spec as _keys_for_spec
 from repro.workloads import (
     RODINIA_ORDER,
@@ -17,15 +18,7 @@ from repro.workloads import (
 
 
 def fingerprint(spec) -> str:
-    return _keys_for_spec(
-        spec,
-        engine="fast",
-        fuel=50_000_000,
-        max_pieces=6,
-        clamp=None,
-        track_anti_output=True,
-        build_schedule_tree=True,
-    ).stage2
+    return _keys_for_spec(spec, AnalysisOptions()).stage2
 
 
 class TestDeclarations:
